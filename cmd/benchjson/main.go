@@ -23,6 +23,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+
+	"h2onas/internal/tensor"
 )
 
 // Result is one parsed benchmark line. Metrics maps unit → value for
@@ -46,7 +48,10 @@ type Result struct {
 // recorded configurations disagree. GOMAXPROCS is inferred from the
 // `-N` suffix go test appends to benchmark names (absent suffix means
 // 1; mixed suffixes leave it 0 = unknown) and can be overridden, like
-// the other two, with the -gomaxprocs/-numcpu/-backend flags.
+// the other two, with the -gomaxprocs/-numcpu/-backend flags. The
+// backend defaults to tensor.KernelBackend() of the process running
+// benchjson, which is the one that ran the benchmarks when both run on
+// the same host.
 type Report struct {
 	GOOS          string   `json:"goos,omitempty"`
 	GOARCH        string   `json:"goarch,omitempty"`
@@ -59,17 +64,26 @@ type Report struct {
 }
 
 func main() {
-	out := flag.String("o", "-", "output path for the JSON report (- for stdout)")
-	baseline := flag.String("baseline", "", "optional baseline JSON to diff against (informational, never fails)")
-	gomaxprocs := flag.Int("gomaxprocs", 0, "record this GOMAXPROCS in the report instead of inferring it from benchmark-name suffixes")
-	numcpu := flag.Int("numcpu", 0, "record the machine's runtime.NumCPU in the report")
-	backend := flag.String("backend", "", "record the kernel backend (e.g. blocked, naive) in the report")
-	flag.Parse()
-
-	rep, err := parse(os.Stdin)
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdin); err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
+	}
+}
+
+// run is main without the exit: it parses args, converts the benchmark
+// text on in, and writes the report (and the optional baseline diff).
+func run(args []string, in io.Reader) error {
+	fs := flag.NewFlagSet("benchjson", flag.ExitOnError)
+	out := fs.String("o", "-", "output path for the JSON report (- for stdout)")
+	baseline := fs.String("baseline", "", "optional baseline JSON to diff against (informational, never fails)")
+	gomaxprocs := fs.Int("gomaxprocs", 0, "record this GOMAXPROCS in the report instead of inferring it from benchmark-name suffixes")
+	numcpu := fs.Int("numcpu", 0, "record the machine's runtime.NumCPU in the report")
+	backend := fs.String("backend", tensor.KernelBackend(), "record this kernel backend (avx2 or scalar) in the report; defaults to the backend live on this host")
+	fs.Parse(args)
+
+	rep, err := parse(in)
+	if err != nil {
+		return err
 	}
 	if *gomaxprocs != 0 {
 		rep.GOMAXPROCS = *gomaxprocs
@@ -77,21 +91,18 @@ func main() {
 	rep.NumCPU = *numcpu
 	rep.KernelBackend = *backend
 	if len(rep.Benchmarks) == 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
-		os.Exit(1)
+		return fmt.Errorf("no benchmark lines on stdin")
 	}
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	data = append(data, '\n')
 	if *out == "-" {
 		os.Stdout.Write(data)
 	} else if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 
 	if *baseline != "" {
@@ -100,6 +111,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchjson: baseline compare skipped: %v\n", err)
 		}
 	}
+	return nil
 }
 
 // parse reads `go test -bench` text and collects benchmark lines plus the

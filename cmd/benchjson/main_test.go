@@ -1,8 +1,13 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"h2onas/internal/tensor"
 )
 
 const sample = `goos: linux
@@ -148,6 +153,35 @@ func TestConfigMismatch(t *testing.T) {
 	for _, c := range cases {
 		if got := configMismatch(&c.base, &c.cur); (got != "") != c.wantRefuse {
 			t.Errorf("%s: configMismatch = %q, want refusal=%v", c.name, got, c.wantRefuse)
+		}
+	}
+}
+
+// TestBackendDefaultsToLiveKernels: without -backend the report records
+// the inner-kernel backend live on this host, so a report can never
+// claim the scalar kernels while the AVX2 ones ran; -backend overrides.
+func TestBackendDefaultsToLiveKernels(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{nil, tensor.KernelBackend()},
+		{[]string{"-backend", "other"}, "other"},
+	} {
+		path := filepath.Join(t.TempDir(), "report.json")
+		if err := run(append([]string{"-o", path}, c.args...), strings.NewReader(sample)); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep Report
+		if err := json.Unmarshal(data, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if rep.KernelBackend != c.want {
+			t.Errorf("args %q: kernel_backend = %q, want %q", c.args, rep.KernelBackend, c.want)
 		}
 	}
 }

@@ -34,6 +34,7 @@ import (
 	"h2onas/internal/reward"
 	"h2onas/internal/shardrpc"
 	"h2onas/internal/space"
+	"h2onas/internal/tensor"
 	"h2onas/internal/vitnet"
 )
 
@@ -128,6 +129,10 @@ func main() {
 	if *strategy != "reinforce" && *domain != "dlrm" && *domain != "nlp" {
 		fatalf("-strategy is only wired into the weight-sharing domains (dlrm, nlp); the %s domain runs the analytic REINFORCE search", *domain)
 	}
+
+	// The inner-kernel backend follows the host CPU, not the build, so
+	// name it once per run, on stderr so stdout is unchanged.
+	fmt.Fprintf(os.Stderr, "kernel backend: %s\n", tensor.KernelBackend())
 
 	switch *domain {
 	case "dlrm":

@@ -55,6 +55,7 @@ import (
 	"h2onas/internal/metrics"
 	"h2onas/internal/models"
 	"h2onas/internal/space"
+	"h2onas/internal/tensor"
 )
 
 // maxSimulateBatch bounds /simulate's batch parameter: graph size (and
@@ -137,6 +138,8 @@ func main() {
 			// on the same -jobs-dir resumes them.
 			cfg.OnDrain = svc.Drain
 		}
+		// Job searches run on the host CPU's kernel backend; name it once.
+		log.Printf("kernel backend: %s", tensor.KernelBackend())
 		if *pprofEnabled {
 			log.Printf("pprof: profiling handlers mounted at /debug/pprof/")
 		}

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"h2onas/internal/shardrpc"
+	"h2onas/internal/tensor"
 )
 
 func main() {
@@ -60,7 +61,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("shardworker: %v", err)
 	}
-	log.Printf("shardworker: serving on %s", lis.Addr())
+	log.Printf("shardworker: serving on %s, kernel backend %s", lis.Addr(), tensor.KernelBackend())
 	if err := w.Serve(lis); err != nil {
 		log.Fatalf("shardworker: %v", err)
 	}

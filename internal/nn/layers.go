@@ -513,7 +513,7 @@ func (l *LowRankDense) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	// row pair stays cache-hot across the whole batch and is streamed
 	// exactly once. The inner kernel is tensor.FusedAxpyDot (the fused
 	// dW-row update + dX dot), whose accumulation order is the fixed
-	// reference order — and which the h2ofast build vectorizes — so
+	// reference order — and which the AVX2 backend vectorizes — so
 	// results are bit-identical to the unblocked form on every backend.
 	//
 	// Factor rows are also the parallel axis: worker k-range [lo, hi)

@@ -81,11 +81,16 @@ func requireBitEqual(t *testing.T, name string, got, want *Matrix) {
 // zeros triggering the av == 0 skip — the production kernels produce
 // bit-for-bit the naive reference result. Shapes above blockMinElems take
 // the blocked code path (forced single-threaded range calls cover the
-// worker-sharded split points too).
+// worker-sharded split points too). It runs once per inner-kernel
+// backend the host has.
 func TestBlockedKernelsBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large shapes are slow in -short mode")
 	}
+	forEachBackend(t, checkBlockedKernelsBitIdentical)
+}
+
+func checkBlockedKernelsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	type shape struct{ m, k, n int }
 	shapes := []shape{

@@ -113,11 +113,9 @@ func BenchmarkMatMulTransBInto(b *testing.B) {
 
 // BenchmarkAxpy measures the innermost kernel alone, at the row widths
 // the masked/low-rank layers stream through it (DLRM MLP widths and
-// ViT hidden widths). This is the kernel the h2ofast build tag
-// vectorizes; compare the two backends with
-//
-//	go test ./internal/tensor -bench Axpy
-//	go test -tags h2ofast ./internal/tensor -bench Axpy
+// ViT hidden widths), on whichever backend KernelBackend reports. It is
+// the kernel the AVX2 backend gains most on; BenchmarkKernelBackends
+// (amd64) times both backends side by side.
 func BenchmarkAxpy(b *testing.B) {
 	for _, n := range []int{64, 160, 768, 3072} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {

@@ -1,13 +1,12 @@
-//go:build h2ofast
-
 package tensor
 
-// h2ofast backend, amd64: the inner kernels run as hand-written AVX2
-// assembly (kernels_h2ofast_amd64.s). The vectorization is bit-exact, not
-// merely tolerance-close: it vectorizes only across independent output
-// elements and never uses FMA, so every element receives exactly the
-// reference sequence of round(mul)/round(add) operations documented in
-// kernels_generic.go. Concretely:
+// amd64: the inner kernels run as hand-written AVX2 assembly
+// (kernels_amd64.s) whenever the CPU supports it, chosen once at process
+// start. The vectorization is bit-exact, not merely tolerance-close: it
+// vectorizes only across independent output elements and never uses
+// FMA, so every element receives exactly the reference sequence of
+// round(mul)/round(add) operations documented in kernels_generic.go.
+// Concretely:
 //
 //   - axpy: a 4-lane VMULPD+VADDPD per group of four elements performs,
 //     per element, one rounded multiply and one rounded add — identical
@@ -20,21 +19,22 @@ package tensor
 //     the mapping — do not "optimize" this without updating the contract.
 //
 // Because the backend is bit-exact, the cross-check test asserts exact
-// equality (tolerance zero), and the golden trajectories replay
-// identically under -tags h2ofast; CI's kernels-accel leg proves both.
+// equality (tolerance zero) with the vector path both on and off, and
+// the golden trajectories replay identically on either backend.
 //
-// CPUs without AVX2 (or an OS that doesn't enable YMM state) fall back to
-// the generic loops at runtime, as do vectors shorter than the dispatch
-// threshold, where call overhead would exceed the vector win.
+// CPUs without AVX2 (or an OS that doesn't enable YMM state) run the
+// generic loops, as do vectors shorter than the dispatch threshold,
+// where call overhead would exceed the vector win.
 
 // useAVX2 gates the assembly kernels on runtime CPU support: AVX2 plus
-// OS-enabled YMM state (OSXSAVE + XCR0). GOAMD64=v3 guarantees this at
-// process start, but the tag must also be safe on a plain build.
+// OS-enabled YMM state (OSXSAVE + XCR0). Tests flip it to run both
+// branches of the wrappers on one host.
 var useAVX2 = cpuSupportsAVX2()
 
 // avxMinLen is the vector length below which dispatch stays on the
 // generic loops: the wrapper + VZEROUPPER overhead needs a few groups of
-// four to amortize.
+// four to amortize, and a lower threshold has not measured faster end to
+// end (docs/PERFORMANCE.md, "Kernel backends").
 const avxMinLen = 16
 
 //go:noescape
@@ -121,10 +121,10 @@ func fusedAxpyDot(g, w, gw []float64, x float64) float64 {
 	return ((s0 + sums[1]) + sums[2]) + sums[3]
 }
 
-// KernelBackend names the inner-kernel backend compiled into this binary.
+// KernelBackend names the live inner-kernel backend: "avx2" or "scalar".
 func KernelBackend() string {
 	if useAVX2 {
-		return "h2ofast-avx2"
+		return "avx2"
 	}
-	return "h2ofast-generic"
+	return "scalar"
 }

@@ -1,12 +1,10 @@
-//go:build h2ofast
-
 #include "textflag.h"
 
-// The AVX2 inner kernels of the h2ofast backend. Bit-exactness contract
-// (see kernels_h2ofast_amd64.go): vectorize only across independent
-// output elements, never use FMA, keep the dot/fused accumulator as a
-// single YMM register stepped four elements per iteration so lane l is
-// exactly the reference accumulator s_l.
+// The AVX2 inner kernels. Bit-exactness contract (see kernels_amd64.go):
+// vectorize only across independent output elements, never use FMA, keep
+// the dot/fused accumulator as a single YMM register stepped four
+// elements per iteration so lane l is exactly the reference accumulator
+// s_l.
 //
 // All lengths are in float64 elements and must be multiples of 4; the Go
 // wrappers handle tails. Loads/stores are unaligned (VMOVUPD): slice

@@ -1,8 +1,8 @@
 package tensor
 
 // The scalar reference kernels. These define the numeric contract of the
-// whole system: every backend — the default build, the h2ofast build, the
-// parallel matmul shards — must produce results bit-identical to these
+// whole system: every backend — the AVX2 kernels, the scalar fallback,
+// the parallel matmul shards — must produce results bit-identical to these
 // loops, because the committed golden trajectories, checkpoint resume and
 // multi-node determinism all pin the exact rounding sequence.
 //
@@ -19,9 +19,9 @@ package tensor
 //     gw[j] += g[j]·x. The two chains are independent per element, so a
 //     backend may reorder between them but not within either.
 //
-// The generic bodies live here untagged so every build (including
-// h2ofast, which falls back below its vector-length threshold or on CPUs
-// without AVX2) links the same reference code.
+// The generic bodies live here untagged so every target links the same
+// reference code: amd64 falls back to it below its vector-length
+// threshold or on CPUs without AVX2, other targets always run it.
 
 // axpyGeneric computes dst[j] += s*src[j], 4 elements per iteration.
 // Each dst element still receives exactly the same sequence of adds as

@@ -35,7 +35,7 @@ func HostChip() hwsim.Chip {
 	return hwsim.Chip{
 		Name:          "xeon-2.1GHz-core",
 		PeakMXUFLOPS:  4.2e9,  // 2.1 GHz × 2 scalar FP64 FLOPs/cycle
-		PeakVPUFLOPS:  16.8e9, // 4-lane AVX2 (the h2ofast backend)
+		PeakVPUFLOPS:  16.8e9, // 4-lane AVX2 (the tensor kernels' vector backend)
 		HBMBandwidth:  12e9,   // single-core DRAM stream
 		HBMCapacity:   16 << 30,
 		CMEMCapacity:  2 << 20, // per-core L2
