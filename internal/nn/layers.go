@@ -255,19 +255,20 @@ func (l *MaskedDense) Forward(x *tensor.Matrix) *tensor.Matrix {
 // forwardRows computes output rows [lo, hi). Batch rows are the parallel
 // axis: each output row is written by exactly one worker and accumulates
 // its k contributions in the same ascending order as the serial loop, so
-// any row partition is bit-identical to the serial pass.
+// any row partition is bit-identical to the serial pass. The nonzero
+// inputs of a row feed its axpys four at a time (see axpyTile).
 func (l *MaskedDense) forwardRows(x, out *tensor.Matrix, lo, hi int) {
+	var t axpyTile
 	for i := lo; i < hi; i++ {
 		xrow := x.Row(i)
 		orow := out.Row(i)
 		copy(orow, l.B.Value.Data[:l.activeOut])
 		for k := 0; k < l.activeIn; k++ {
-			xv := xrow[k]
-			if xv == 0 {
-				continue
+			if xv := xrow[k]; xv != 0 {
+				t.add(orow, xv, l.W.Value.Row(k))
 			}
-			tensor.Axpy(orow, xv, l.W.Value.Row(k))
 		}
+		t.flush(orow)
 	}
 }
 
@@ -312,14 +313,12 @@ func (l *MaskedDense) Backward(grad *tensor.Matrix) *tensor.Matrix {
 // its batch contributions in ascending batch order and dX column k gets
 // one write per batch row — the same per-element order and writes as the
 // historical batch-outer loop, just transposed, so bits never move.
+// Batch rows go through the fused kernel four at a time.
 func (l *MaskedDense) backwardWRows(grad, dx *tensor.Matrix, lo, hi int) {
 	x := l.input
 	for k := lo; k < hi; k++ {
-		w := l.W.Value.Row(k)
-		gw := l.W.Grad.Row(k)
-		for i := 0; i < x.Rows; i++ {
-			dx.Row(i)[k] = tensor.FusedAxpyDot(grad.Row(i), w, gw, x.Row(i)[k])
-		}
+		fusedColumn(l.W.Value.Row(k), l.W.Grad.Row(k), grad.Data, grad.Cols, l.activeOut,
+			x.Data[k:], x.Cols, dx.Data[k:], dx.Cols, x.Rows)
 	}
 }
 
@@ -419,15 +418,14 @@ func (l *LowRankDense) Forward(x *tensor.Matrix) *tensor.Matrix {
 	l.input = x
 	h := l.Arena.Get(x.Rows, l.activeRank)
 	l.hidden = h
-	// Both products are blocked factor-row-outer, batch-row-inner so each
-	// factor row stays cache-hot across the batch instead of the whole
-	// factor being re-streamed per example (see Backward). Each output
-	// element still accumulates its k contributions in ascending order,
-	// and the zero-input skip is decided per (i,k) either way, so the
-	// result is bit-identical to the batch-outer form. Batch rows are the
-	// parallel axis: a worker owns a contiguous row range and runs the
-	// same k-outer blocking over it, so every output element keeps the
-	// serial accumulation order under any fan-out.
+	// Both products run batch-row-outer: each output row takes the factor
+	// rows of its nonzero inputs four per tile call, the row held in
+	// registers across the four. Each output element still accumulates
+	// its k contributions in ascending order, and the zero-input skip is
+	// decided per (i,k), so the result is bit-identical to any loop order
+	// over the same adds. Batch rows are the parallel axis: a worker owns
+	// a contiguous row range, so every output element keeps the serial
+	// accumulation order under any fan-out.
 	rows := x.Rows
 	if w := layerWorkers(rows*l.activeIn*l.activeRank, l.Workers); w > 1 {
 		if l.fwdHiddenFn == nil {
@@ -452,27 +450,30 @@ func (l *LowRankDense) Forward(x *tensor.Matrix) *tensor.Matrix {
 }
 
 // forwardHiddenRows computes hidden rows [lo, hi) of the first factor
-// product h = x·U over the active sub-factors.
+// product h = x·U over the active sub-factors. Each hidden row takes the
+// U rows of its nonzero inputs four at a time (see axpyTile), in
+// ascending k.
 func (l *LowRankDense) forwardHiddenRows(lo, hi int) {
 	x, h := l.input, l.hidden
 	uv, ucols := l.U.Value.Data, l.U.Value.Cols
 	xd, xcols := x.Data, x.Cols
 	hd, hcols := h.Data, h.Cols
 	nRank := l.activeRank
-	for k := 0; k < l.activeIn; k++ {
-		w := uv[k*ucols : k*ucols+nRank]
-		for i := lo; i < hi; i++ {
-			xv := xd[i*xcols+k]
-			if xv == 0 {
-				continue
+	var t axpyTile
+	for i := lo; i < hi; i++ {
+		hrow := hd[i*hcols : i*hcols+nRank]
+		xrow := xd[i*xcols : i*xcols+l.activeIn]
+		for k, xv := range xrow {
+			if xv != 0 {
+				t.add(hrow, xv, uv[k*ucols:k*ucols+nRank])
 			}
-			tensor.Axpy(hd[i*hcols:i*hcols+nRank], xv, w)
 		}
+		t.flush(hrow)
 	}
 }
 
 // forwardOutRows computes output rows [lo, hi) of the second factor
-// product out = h·V + b.
+// product out = h·V + b, tiled like forwardHiddenRows.
 func (l *LowRankDense) forwardOutRows(lo, hi int) {
 	h, out := l.hidden, l.fwdOut
 	hd, hcols := h.Data, h.Cols
@@ -480,18 +481,16 @@ func (l *LowRankDense) forwardOutRows(lo, hi int) {
 	nOut, nRank := l.activeOut, l.activeRank
 	vv, vcols := l.V.Value.Data, l.V.Value.Cols
 	bias := l.B.Value.Data[:nOut]
+	var t axpyTile
 	for i := lo; i < hi; i++ {
-		copy(od[i*ocols:i*ocols+nOut], bias)
-	}
-	for k := 0; k < nRank; k++ {
-		w := vv[k*vcols : k*vcols+nOut]
-		for i := lo; i < hi; i++ {
-			hv := hd[i*hcols+k]
-			if hv == 0 {
-				continue
+		orow := od[i*ocols : i*ocols+nOut]
+		copy(orow, bias)
+		for k, hv := range hd[i*hcols : i*hcols+nRank] {
+			if hv != 0 {
+				t.add(orow, hv, vv[k*vcols:k*vcols+nOut])
 			}
-			tensor.Axpy(od[i*ocols:i*ocols+nOut], hv, w)
 		}
+		t.flush(orow)
 	}
 }
 
@@ -511,10 +510,11 @@ func (l *LowRankDense) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	// gradient) from memory once per example, which made the backward pass
 	// bandwidth-bound. With the factor row outermost, each value/gradient
 	// row pair stays cache-hot across the whole batch and is streamed
-	// exactly once. The inner kernel is tensor.FusedAxpyDot (the fused
-	// dW-row update + dX dot), whose accumulation order is the fixed
-	// reference order — and which the AVX2 backend vectorizes — so
-	// results are bit-identical to the unblocked form on every backend.
+	// exactly once. The inner kernel is tensor.FusedAxpyDot4 (the fused
+	// dW-row update + dX dot over four batch rows, with FusedAxpyDot for
+	// a partial tile), whose accumulation order is the fixed reference
+	// order — and which the AVX2 backend vectorizes — so results are
+	// bit-identical to the unblocked form on every backend.
 	//
 	// Factor rows are also the parallel axis: worker k-range [lo, hi)
 	// owns gradient rows [lo, hi) of the factor and the matching dh/dx
@@ -558,29 +558,26 @@ func (l *LowRankDense) Backward(grad *tensor.Matrix) *tensor.Matrix {
 }
 
 // backVRows runs the V-factor stage for factor rows [lo, hi): dV rows,
-// and the matching dh columns, across the whole batch.
+// and the matching dh columns, across the whole batch, four batch rows
+// per fused tile.
 func (l *LowRankDense) backVRows(lo, hi int) {
 	grad, h, dh := l.bwGrad, l.hidden, l.bwDh
 	vv, vg := l.V.Value.Data, l.V.Grad.Data
-	gd, hd, dhd := grad.Data, h.Data, dh.Data
-	gcols, hcols, dhcols := grad.Cols, h.Cols, dh.Cols
 	vcols := l.V.Value.Cols
 	nOut := l.activeOut
-	rows := grad.Rows
 	for k := lo; k < hi; k++ {
 		base := k * vcols
-		w := vv[base : base+nOut]
-		gw := vg[base : base+nOut]
-		for i := 0; i < rows; i++ {
-			grow := gd[i*gcols : i*gcols+nOut]
-			hv := hd[i*hcols+k]
-			dhd[i*dhcols+k] = tensor.FusedAxpyDot(grow, w, gw, hv)
-		}
+		fusedColumn(vv[base:base+nOut], vg[base:base+nOut], grad.Data, grad.Cols, nOut,
+			h.Data[k:], h.Cols, dh.Data[k:], dh.Cols, grad.Rows)
 	}
 }
 
 // backURows runs the U-factor stage for factor rows [lo, hi): dU rows,
-// and the matching dx columns, across the whole batch.
+// and the matching dx columns, across the whole batch. Each batch row
+// falls in one of three classes, and the two live ones are tiled
+// separately: fused rows touch the gradient row and so keep their
+// ascending batch order within their own tile stream, while dot-only
+// rows write only their dx element.
 func (l *LowRankDense) backURows(lo, hi int) {
 	x, dh, dx := l.input, l.bwDh, l.bwDx
 	uv, ug := l.U.Value.Data, l.U.Grad.Data
@@ -590,10 +587,12 @@ func (l *LowRankDense) backURows(lo, hi int) {
 	nRank := l.activeRank
 	reluIn := l.reluInput
 	rows := x.Rows
+	fused := fusedTile{out: dxd}
+	dots := dotTile{out: dxd}
 	for k := lo; k < hi; k++ {
 		base := k * ucols
-		w := uv[base : base+nRank]
-		gw := ug[base : base+nRank]
+		fused.w, fused.gw = uv[base:base+nRank], ug[base:base+nRank]
+		dots.w = fused.w
 		for i := 0; i < rows; i++ {
 			xv := xd[i*xcols+k]
 			if xv == 0 && reluIn {
@@ -611,11 +610,13 @@ func (l *LowRankDense) backURows(lo, hi int) {
 				// row halves the traffic. tensor.Dot uses the same
 				// accumulator pattern as the fused kernel's dot chain, so
 				// dx is bit-identical.
-				dxd[i*dxcols+k] = tensor.Dot(dhrow, w)
+				dots.add(dhrow, i*dxcols+k)
 				continue
 			}
-			dxd[i*dxcols+k] = tensor.FusedAxpyDot(dhrow, w, gw, xv)
+			fused.add(dhrow, xv, i*dxcols+k)
 		}
+		fused.flush()
+		dots.flush()
 	}
 }
 
@@ -653,4 +654,119 @@ func (s *Sequential) Params() []*Param {
 		ps = append(ps, l.Params()...)
 	}
 	return ps
+}
+
+// The layer loops reach the four-row tile kernels of package tensor
+// through the helpers below. A tile holds exactly the operands the
+// single-row loop would have used, in the order it would have used them,
+// and runs one tile call when it holds four; a partial tile runs through
+// the single-row kernels. Each tile kernel is bit-identical to four
+// single-row calls in tile order, so every skip-zero path and every
+// accumulation order stays exact.
+
+// fusedColumn runs the fused kernel for one weight row w (gradient row
+// gw) against every batch row i < rows, in ascending i, four rows per
+// tile call: gradient row i is g[i*gstride:][:n], its input is
+// x[i*xstride] and its dot lands in out[i*ostride]. Every batch row is
+// live here, so the tiles are just consecutive rows.
+func fusedColumn(w, gw, g []float64, gstride, n int, x []float64, xstride int, out []float64, ostride, rows int) {
+	var rg [4][]float64
+	var rx [4]float64
+	i := 0
+	for ; i+4 <= rows; i += 4 {
+		for u := range rg {
+			rg[u] = g[(i+u)*gstride : (i+u)*gstride+n]
+			rx[u] = x[(i+u)*xstride]
+		}
+		r := tensor.FusedAxpyDot4(&rg, w, gw, &rx)
+		for u, v := range r {
+			out[(i+u)*ostride] = v
+		}
+	}
+	for ; i < rows; i++ {
+		out[i*ostride] = tensor.FusedAxpyDot(g[i*gstride:i*gstride+n], w, gw, x[i*xstride])
+	}
+}
+
+// axpyTile queues axpys into one destination row.
+type axpyTile struct {
+	s   [4]float64
+	src [4][]float64
+	n   int
+}
+
+// add queues dst += s·src, running the tile when it is full.
+func (t *axpyTile) add(dst []float64, s float64, src []float64) {
+	t.s[t.n], t.src[t.n] = s, src
+	if t.n++; t.n == 4 {
+		tensor.Axpy4(dst, &t.s, &t.src)
+		t.n = 0
+	}
+}
+
+// flush runs the queued axpys of a partial tile.
+func (t *axpyTile) flush(dst []float64) {
+	for u := 0; u < t.n; u++ {
+		tensor.Axpy(dst, t.s[u], t.src[u])
+	}
+	t.n = 0
+}
+
+// fusedTile queues fused dW-row updates + dX dots of rows sharing the
+// weight row w and its gradient row gw; each dot lands in out[at].
+type fusedTile struct {
+	w, gw, out []float64
+	g          [4][]float64
+	x          [4]float64
+	at         [4]int
+	n          int
+}
+
+// add queues row g with input x, running the tile when it is full.
+func (t *fusedTile) add(g []float64, x float64, at int) {
+	t.g[t.n], t.x[t.n], t.at[t.n] = g, x, at
+	if t.n++; t.n == 4 {
+		r := tensor.FusedAxpyDot4(&t.g, t.w, t.gw, &t.x)
+		for u, v := range r {
+			t.out[t.at[u]] = v
+		}
+		t.n = 0
+	}
+}
+
+// flush runs the queued rows of a partial tile.
+func (t *fusedTile) flush() {
+	for u := 0; u < t.n; u++ {
+		t.out[t.at[u]] = tensor.FusedAxpyDot(t.g[u], t.w, t.gw, t.x[u])
+	}
+	t.n = 0
+}
+
+// dotTile queues dots of rows against the shared weight row w; each dot
+// lands in out[at].
+type dotTile struct {
+	w, out []float64
+	a      [4][]float64
+	at     [4]int
+	n      int
+}
+
+// add queues row a, running the tile when it is full.
+func (t *dotTile) add(a []float64, at int) {
+	t.a[t.n], t.at[t.n] = a, at
+	if t.n++; t.n == 4 {
+		r := tensor.Dot4(&t.a, t.w)
+		for u, v := range r {
+			t.out[t.at[u]] = v
+		}
+		t.n = 0
+	}
+}
+
+// flush runs the queued rows of a partial tile.
+func (t *dotTile) flush() {
+	for u := 0; u < t.n; u++ {
+		t.out[t.at[u]] = tensor.Dot(t.a[u], t.w)
+	}
+	t.n = 0
 }

@@ -112,8 +112,8 @@ type ParamTouch struct {
 // share a param — so results are independent of chunk boundaries and
 // scheduling. Within a param, the accumulation order is fixed: the reduce
 // visits replicas in slice order and rows in first-write order, and the
-// per-element kernels (Axpy, Dot) use the same fixed-order loops as the
-// serial reference. The only cross-param combination — summing the
+// per-element kernels (Axpy, Dot, AdamRow) use the same fixed-order loops
+// as the serial reference. The only cross-param combination — summing the
 // per-param squared-norm partials — runs serially in worklist (= param
 // index) order.
 //
@@ -146,8 +146,7 @@ type Spine struct {
 	inv      float64
 	dirty    []int
 	sumsq    []float64
-	scale    float64
-	c1, c2   float64
+	coeffs   tensor.AdamCoeffs
 	apply    []applyEntry
 
 	reduceFn func(lo, hi int)
@@ -194,34 +193,17 @@ func NewSpine(params []*Param, opt *Adam, maxNorm float64) *Spine {
 		}
 	}
 	s.applyFn = func(lo, hi int) {
-		o := s.opt
-		b1, b2 := o.Beta1, o.Beta2
 		for k := lo; k < hi; k++ {
 			e := s.apply[k]
 			pv, md, vd, gd := e.p.Value.Data, e.m.Data, e.v.Data, e.p.Grad.Data
 			if e.rows == nil {
-				for i := range gd {
-					gv := gd[i] * s.scale
-					md[i] = b1*md[i] + (1-b1)*gv
-					vd[i] = b2*vd[i] + (1-b2)*gv*gv
-					mhat := md[i] / s.c1
-					vhat := vd[i] / s.c2
-					pv[i] -= o.LR * mhat / (math.Sqrt(vhat) + o.Eps)
-					gd[i] = 0
-				}
+				tensor.AdamRow(pv, md, vd, gd, &s.coeffs)
 			} else {
 				cols := e.p.Grad.Cols
 				for _, r := range e.rows {
 					base := int(r) * cols
-					for i := base; i < base+cols; i++ {
-						gv := gd[i] * s.scale
-						md[i] = b1*md[i] + (1-b1)*gv
-						vd[i] = b2*vd[i] + (1-b2)*gv*gv
-						mhat := md[i] / s.c1
-						vhat := vd[i] / s.c2
-						pv[i] -= o.LR * mhat / (math.Sqrt(vhat) + o.Eps)
-						gd[i] = 0
-					}
+					end := base + cols
+					tensor.AdamRow(pv[base:end], md[base:end], vd[base:end], gd[base:end], &s.coeffs)
 				}
 				e.p.ClearRows()
 			}
@@ -269,8 +251,15 @@ func (s *Spine) Reduce(replicas [][]*Param) []int {
 func (s *Spine) ClipStep() float64 {
 	o := s.opt
 	o.t++
-	s.c1 = 1 - math.Pow(o.Beta1, float64(o.t))
-	s.c2 = 1 - math.Pow(o.Beta2, float64(o.t))
+	s.coeffs = tensor.AdamCoeffs{
+		Scale: 1,
+		B1:    o.Beta1,
+		B2:    o.Beta2,
+		C1:    1 - math.Pow(o.Beta1, float64(o.t)),
+		C2:    1 - math.Pow(o.Beta2, float64(o.t)),
+		LR:    o.LR,
+		Eps:   o.Eps,
+	}
 
 	if cap(s.sumsq) < len(s.dirty) {
 		s.sumsq = make([]float64, len(s.dirty))
@@ -282,9 +271,8 @@ func (s *Spine) ClipStep() float64 {
 		sq += v
 	}
 	norm := math.Sqrt(sq)
-	s.scale = 1
 	if s.maxNorm > 0 && norm > s.maxNorm {
-		s.scale = s.maxNorm / (norm + 1e-12)
+		s.coeffs.Scale = s.maxNorm / (norm + 1e-12)
 	}
 
 	// Serial pre-pass: moment allocation mutates the optimizer's maps, so
