@@ -7,9 +7,10 @@
 //	h2onas -domain cnn  -steps 200 -shards 8 -chip tpuv4
 //	h2onas -domain vit  -steps 200 -shards 8 -chip tpuv4
 //
-// The DLRM domain runs the full one-shot weight-sharing search against
-// synthetic production traffic; the cnn/vit domains run the analytic RL
-// search with the calibrated accuracy model.
+// The dlrm and nlp domains run the full one-shot weight-sharing search
+// against synthetic production traffic (click-through and token
+// sequences); the cnn/vit domains run the analytic RL search with the
+// calibrated accuracy model.
 package main
 
 import (
@@ -42,8 +43,8 @@ func main() {
 	domain := flag.String("domain", "dlrm", "search domain: dlrm, cnn, vit, or nlp")
 	steps := flag.Int("steps", 300, "search steps")
 	shards := flag.Int("shards", 8, "parallel accelerator shards")
-	batch := flag.Int("batch", 64, "per-shard batch size (dlrm)")
-	warmup := flag.Int("warmup", 40, "weight warmup steps (dlrm)")
+	batch := flag.Int("batch", 64, "per-shard batch size (dlrm, nlp)")
+	warmup := flag.Int("warmup", 40, "weight warmup steps (dlrm, nlp)")
 	rewardKind := flag.String("reward", "relu", "reward function: relu or absolute")
 	strategy := flag.String("strategy", "reinforce", "search strategy: reinforce, random, evolution, or halving (dlrm/nlp)")
 	latency := flag.Float64("latency", 1.0, "step-time target as a fraction of baseline")
@@ -53,7 +54,7 @@ func main() {
 	verbose := flag.Bool("v", false, "print per-step progress")
 	metricsOut := flag.String("metrics-out", "", "write a JSON metrics snapshot to this file after the search")
 	noMetrics := flag.Bool("no-metrics", false, "disable the observability layer (skips the end-of-run summary)")
-	ckptDir := flag.String("checkpoint-dir", "", "write full-state search snapshots to this directory (dlrm)")
+	ckptDir := flag.String("checkpoint-dir", "", "write full-state search snapshots to this directory (dlrm, nlp)")
 	ckptEvery := flag.Int("checkpoint-every", 25, "snapshot every N search steps (with -checkpoint-dir)")
 	ckptRetain := flag.Int("checkpoint-retain", 3, "keep only the newest N snapshots (0 keeps all)")
 	resume := flag.Bool("resume", false, "resume from the newest valid snapshot in -checkpoint-dir")
@@ -110,8 +111,8 @@ func main() {
 	if *resume && *ckptDir == "" {
 		fatalf("-resume requires -checkpoint-dir")
 	}
-	if ckpt.enabled() && *domain != "dlrm" {
-		fmt.Fprintf(os.Stderr, "warning: checkpointing is only wired into the dlrm domain; ignoring for %s\n", *domain)
+	if ckpt.enabled() && *domain != "dlrm" && *domain != "nlp" {
+		fmt.Fprintf(os.Stderr, "warning: checkpointing is only wired into the weight-sharing domains (dlrm, nlp); ignoring for %s\n", *domain)
 		ckpt = checkpointing{}
 	}
 
@@ -140,7 +141,7 @@ func main() {
 	case "cnn", "vit":
 		runVision(*domain, chip, kind, *latency, *steps, *shards, *seed, *verbose)
 	case "nlp":
-		runNLP(chip, kind, *latency, *steps, *shards, *batch, *warmup, *seed, *verbose, *strategy)
+		runNLP(chip, kind, *latency, *steps, *shards, *batch, *warmup, *seed, *verbose, *strategy, ckpt)
 	default:
 		fatalf("unknown domain %q (want dlrm, cnn, vit, or nlp)", *domain)
 	}
@@ -193,7 +194,7 @@ func writeMetricsSnapshot(reg *metrics.Registry, path string) error {
 // runNLP searches the pure transformer space with a live weight-sharing
 // super-network on synthetic sequence traffic.
 func runNLP(chip h2onas.Chip, kind reward.Kind, latency float64,
-	steps, shards, batch, warmup int, seed uint64, verbose bool, strategy string) {
+	steps, shards, batch, warmup int, seed uint64, verbose bool, strategy string, ckpt checkpointing) {
 
 	vs := space.NewTransformerSpace(space.SmallViTConfig())
 	perf := func(a space.Assignment) []float64 {
@@ -223,6 +224,7 @@ func runNLP(chip h2onas.Chip, kind reward.Kind, latency float64,
 		fatalf("%v", err)
 	}
 	cfg.Strategy = strat
+	ckpt.apply(&cfg)
 	if verbose {
 		cfg.Progress = progress
 	}
@@ -231,6 +233,9 @@ func runNLP(chip h2onas.Chip, kind reward.Kind, latency float64,
 	res, err := s.Search(cfg)
 	if err != nil {
 		fatalf("search failed: %v", err)
+	}
+	if res.ResumedFrom > 0 {
+		fmt.Printf("resumed from checkpoint at step %d\n", res.ResumedFrom)
 	}
 	fmt.Printf("\nfinal architecture: %s\n", vs.Space.Describe(res.Best))
 	fmt.Printf("quality %.4f | step time %.0fµs (target %.0fµs)\n",
@@ -247,6 +252,16 @@ type checkpointing struct {
 }
 
 func (c checkpointing) enabled() bool { return c.dir != "" }
+
+// apply sets the checkpoint fields of a search config.
+func (c checkpointing) apply(cfg *core.Config) {
+	if c.enabled() {
+		cfg.CheckpointDir = c.dir
+		cfg.CheckpointEvery = c.every
+		cfg.CheckpointRetain = c.retain
+		cfg.Resume = c.resume
+	}
+}
 
 // distributed carries the -workers/-rpc-timeout/-result-out/-fail-shard
 // flags into the search config.
@@ -333,12 +348,7 @@ func runDLRM(chip h2onas.Chip, kind reward.Kind, latency float64,
 			return nil
 		}
 	}
-	if ckpt.enabled() {
-		opts.CheckpointDir = ckpt.dir
-		opts.CheckpointEvery = ckpt.every
-		opts.CheckpointRetain = ckpt.retain
-		opts.Resume = ckpt.resume
-	}
+	ckpt.apply(&opts)
 	if verbose {
 		opts.Progress = progress
 	}
@@ -381,9 +391,9 @@ func parseFailShards(s string) (map[int]int, error) {
 }
 
 // writeResult persists the deterministic slice of the search result: the
-// trajectory and outcome, but not wall-clock-dependent counters
-// (ExamplesSeen varies with prefetch timing), so two runs that followed
-// the same trajectory serialize byte-identically.
+// trajectory and outcome. ExamplesSeen is deterministic too (the exact
+// consumed count) but is left out to keep the file format stable, so two
+// runs that followed the same trajectory serialize byte-identically.
 func writeResult(res *h2onas.SearchResult, path string) error {
 	out := struct {
 		Best           space.Assignment `json:"best"`

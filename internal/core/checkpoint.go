@@ -7,29 +7,29 @@ import (
 
 	"h2onas/internal/checkpoint"
 	"h2onas/internal/nn"
-	"h2onas/internal/supernet"
 	"h2onas/internal/tensor"
 )
 
-// fingerprintFor derives the identity string stored in snapshots. Two
-// runs with the same fingerprint walk the same trajectory, so resuming
-// across a fingerprint mismatch would silently diverge and is refused.
-// Steps is deliberately excluded: resuming a finished run with a larger
-// Steps budget extends it deterministically. The transport membership is
-// included (v2) because a resumed multi-node run is only bit-identical on
-// the same fleet: a changed worker set shifts which shards drop when, so
-// resume refuses it rather than diverging silently. The strategy
-// identity is included (v3) — strategies consume the coordinator RNG and
-// carry their own serialized state, so resuming a snapshot under a
-// different strategy (or the same strategy differently configured, which
-// changes its Name) is refused the same way.
-func fingerprintFor(cfg *Config, s *Searcher, strategy, membership string) string {
+// fingerprint derives the identity string stored in snapshots. Two runs
+// with the same fingerprint walk the same trajectory, so resuming across
+// a fingerprint mismatch would silently diverge and is refused. Steps is
+// deliberately excluded: resuming a finished run with a larger Steps
+// budget extends it deterministically. The engine Name leads it, so a
+// snapshot never resumes under another front end. The transport
+// membership is included (v2) because a resumed multi-node run is only
+// bit-identical on the same fleet: a changed worker set shifts which
+// shards drop when, so resume refuses it rather than diverging silently.
+// The strategy identity is included (v3) — strategies consume the
+// coordinator RNG and carry their own serialized state, so resuming a
+// snapshot under a different strategy (or the same strategy differently
+// configured, which changes its Name) is refused the same way.
+func (e *Engine[M, B]) fingerprint(cfg *Config, strategy, membership string) string {
 	h := fnv.New64a()
-	for _, d := range s.DS.Space.Decisions {
+	for _, d := range e.Space.Decisions {
 		fmt.Fprintf(h, "%s:%d|", d.Name, d.Arity())
 	}
-	fp := fmt.Sprintf("core.Search/v3 space=%s/%d/%016x shards=%d batch=%d warmup=%d seed=%d sandwich=%t strategy=%s transport=%s",
-		s.DS.Space.Name, len(s.DS.Space.Decisions), h.Sum64(),
+	fp := fmt.Sprintf("%s space=%s/%d/%016x shards=%d batch=%d warmup=%d seed=%d sandwich=%t strategy=%s transport=%s",
+		e.Name, e.Space.Name, len(e.Space.Decisions), h.Sum64(),
 		cfg.Shards, cfg.BatchSize, cfg.WarmupSteps, cfg.Seed, !cfg.DisableSandwich, strategy, membership)
 	// Appended only when enabled so every pre-existing fingerprint (and
 	// snapshot) stays valid; a float32-mode snapshot can only resume in
@@ -45,8 +45,8 @@ func fingerprintFor(cfg *Config, s *Searcher, strategy, membership string) strin
 // restored run is bit-identical to the uninterrupted one. The strategy
 // serializes itself into an opaque StrategyState blob, tagged with its
 // Name so resume can refuse a cross-strategy restore before decoding.
-func (s *Searcher) snapshot(cfg *Config, membership string, nextStep int, batchesConsumed int64,
-	rng *tensor.RNG, strat Strategy, master *supernet.Supernet,
+func (e *Engine[M, B]) snapshot(cfg *Config, membership string, nextStep int, batchesConsumed int64,
+	rng *tensor.RNG, strat Strategy, master M,
 	opt *nn.Adam, hist []StepInfo) *checkpoint.Snapshot {
 
 	ad := opt.State(master.Params())
@@ -63,11 +63,11 @@ func (s *Searcher) snapshot(cfg *Config, membership string, nextStep int, batche
 	return &checkpoint.Snapshot{
 		Step:            int64(nextStep),
 		BatchesConsumed: batchesConsumed,
-		Fingerprint:     fingerprintFor(cfg, s, strat.Name(), membership),
+		Fingerprint:     e.fingerprint(cfg, strat.Name(), membership),
 		RNG:             rng.State(),
 		Strategy:        strat.Name(),
 		StrategyState:   strat.StateBytes(),
-		Weights:         master.WeightsState(),
+		Weights:         nn.WeightsState(master.Params()),
 		AdamT:           ad.T,
 		AdamM:           ad.M,
 		AdamV:           ad.V,
@@ -81,14 +81,14 @@ func (s *Searcher) snapshot(cfg *Config, membership string, nextStep int, batche
 // mutating the live state — while encoding and the file write happen off
 // the step loop. A failed write is logged and counted by the persister
 // but never kills the search.
-func (s *Searcher) maybeCheckpoint(cfg *Config, membership string, ck *asyncCheckpointer,
+func (e *Engine[M, B]) maybeCheckpoint(cfg *Config, membership string, ck *asyncCheckpointer,
 	step int, batchesConsumed int64, rng *tensor.RNG, strat Strategy,
-	master *supernet.Supernet, opt *nn.Adam, hist []StepInfo) {
+	master M, opt *nn.Adam, hist []StepInfo) {
 
 	if ck == nil || cfg.CheckpointEvery <= 0 || (step+1)%cfg.CheckpointEvery != 0 {
 		return
 	}
-	ck.enqueue(s.snapshot(cfg, membership, step+1, batchesConsumed, rng, strat, master, opt, hist))
+	ck.enqueue(e.snapshot(cfg, membership, step+1, batchesConsumed, rng, strat, master, opt, hist))
 }
 
 // maybeRestore applies cfg.ResumeSnapshot (or, under cfg.Resume, the
@@ -96,9 +96,9 @@ func (s *Searcher) maybeCheckpoint(cfg *Config, membership string, ck *asyncChec
 // constructed search state. It returns the step index to continue from
 // and the number of batches the checkpointed run had consumed; (0, 0)
 // means a fresh start.
-func (s *Searcher) maybeRestore(cfg *Config, membership string, mgr *checkpoint.Manager,
-	rng *tensor.RNG, strat Strategy, master *supernet.Supernet,
-	opt *nn.Adam, res *Result) (startStep int, consumedBase int64, err error) {
+func (e *Engine[M, B]) maybeRestore(cfg *Config, membership string, mgr *checkpoint.Manager,
+	rng *tensor.RNG, strat Strategy, master M,
+	opt *nn.Adam, res *Outcome) (startStep int, consumedBase int64, err error) {
 
 	snap := cfg.ResumeSnapshot
 	if snap == nil && cfg.Resume {
@@ -124,7 +124,7 @@ func (s *Searcher) maybeRestore(cfg *Config, membership string, mgr *checkpoint.
 	if snap.Strategy != strat.Name() {
 		return 0, 0, fmt.Errorf("core: checkpoint was written by strategy %q; this run uses %q — strategies carry incompatible state, pick the matching one or start fresh", snap.Strategy, strat.Name())
 	}
-	if want := fingerprintFor(cfg, s, strat.Name(), membership); snap.Fingerprint != want {
+	if want := e.fingerprint(cfg, strat.Name(), membership); snap.Fingerprint != want {
 		return 0, 0, fmt.Errorf("core: checkpoint fingerprint %q does not match this run (%q) — it was written by a different configuration", snap.Fingerprint, want)
 	}
 	if snap.Step < 0 || snap.Step > int64(cfg.WarmupSteps+cfg.Steps) {
@@ -133,7 +133,7 @@ func (s *Searcher) maybeRestore(cfg *Config, membership string, mgr *checkpoint.
 	if snap.BatchesConsumed < 0 {
 		return 0, 0, fmt.Errorf("core: checkpoint has negative consumed-batch count %d", snap.BatchesConsumed)
 	}
-	if s.Stream.ExamplesServed() != 0 {
+	if e.Stream.ExamplesServed() != 0 {
 		return 0, 0, fmt.Errorf("core: resume requires an unused traffic stream (it is fast-forwarded to the checkpoint's position)")
 	}
 
@@ -143,14 +143,14 @@ func (s *Searcher) maybeRestore(cfg *Config, membership string, mgr *checkpoint.
 	if err := strat.RestoreState(snap.StrategyState); err != nil {
 		return 0, 0, fmt.Errorf("core: restoring %s strategy state: %w", snap.Strategy, err)
 	}
-	if err := master.LoadWeights(snap.Weights); err != nil {
+	if err := nn.LoadWeights(master.Params(), snap.Weights); err != nil {
 		return 0, 0, fmt.Errorf("core: restoring super-network weights: %w", err)
 	}
 	if err := opt.LoadState(master.Params(), nn.AdamState{T: snap.AdamT, M: snap.AdamM, V: snap.AdamV}); err != nil {
 		return 0, 0, fmt.Errorf("core: restoring optimizer state: %w", err)
 	}
 	rng.SetState(snap.RNG)
-	s.Stream.Skip(snap.BatchesConsumed, cfg.BatchSize)
+	e.Stream.Skip(snap.BatchesConsumed, cfg.BatchSize)
 	res.History = make([]StepInfo, len(snap.History))
 	for i, h := range snap.History {
 		res.History[i] = StepInfo{

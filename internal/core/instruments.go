@@ -6,8 +6,9 @@ import "h2onas/internal/metrics"
 // run so the step loop never does a name lookup. All fields are nil-safe
 // no-ops when resolved from the nop registry, so callers use them
 // unconditionally. The same instrument names are shared by every search
-// flavour (core.Searcher, core.AnalyticSearcher, vitnet.Searcher) so
-// dashboards and snapshot diffs are uniform across domains.
+// flavour (core.Engine behind core.Searcher and vitnet.Searcher, and
+// core.AnalyticSearcher) so dashboards and snapshot diffs are uniform
+// across domains.
 type SearchMetrics struct {
 	// Per-phase timing histograms (seconds).
 	StepTime    *metrics.Histogram // one full search step
@@ -35,6 +36,13 @@ type SearchMetrics struct {
 	WarmupSteps *metrics.Counter
 	Candidates  *metrics.Counter
 	Examples    *metrics.Counter
+
+	// Batch prefetch, under the datapipe_ names: synthesis latency per
+	// batch, the coordinator's wait for a step's prefetched batches (one
+	// observation per step), and batches handed to the search.
+	BatchProduce    *metrics.Histogram
+	BatchWait       *metrics.Histogram
+	BatchesConsumed *metrics.Counter
 
 	// Fault-tolerance telemetry: shard failures observed, retries
 	// issued, shards dropped from a step's cross-shard reduce, and steps
@@ -80,6 +88,10 @@ func NewSearchMetrics(r *metrics.Registry) SearchMetrics {
 		WarmupSteps: r.Counter("search_warmup_steps_total"),
 		Candidates:  r.Counter("search_candidates_total"),
 		Examples:    r.Counter("search_examples_total"),
+
+		BatchProduce:    r.Histogram("datapipe_produce_seconds"),
+		BatchWait:       r.Histogram("datapipe_next_wait_seconds"),
+		BatchesConsumed: r.Counter("datapipe_batches_consumed_total"),
 
 		ShardFailures: r.Counter("search_shard_failures_total"),
 		ShardRetries:  r.Counter("search_shard_retries_total"),

@@ -11,7 +11,7 @@ import (
 
 // TestSearchRecordsMetrics runs a short search with the observability
 // layer enabled and checks that every subsystem reported: per-phase
-// timing, trend gauges, controller KL, pipeline occupancy and counters.
+// timing, trend gauges, controller KL, batch prefetch timing and counters.
 // It is deliberately small so the race-detector CI job always exercises
 // the instrumented shard fan-out.
 func TestSearchRecordsMetrics(t *testing.T) {
@@ -79,13 +79,18 @@ func TestSearchRecordsMetrics(t *testing.T) {
 		t.Error("confidence gauge not set")
 	}
 
-	// Data pipeline.
-	if reg.Histogram("datapipe_produce_seconds").Count() == 0 {
-		t.Error("pipeline produce latency not recorded")
+	// Batch prefetch: every step batch plus the 16 final-quality batches
+	// is synthesized and consumed exactly once; the coordinator waits
+	// once per step.
+	batches := totalSteps*int64(cfg.Shards) + 16
+	if got := reg.Histogram("datapipe_produce_seconds").Count(); got != batches {
+		t.Errorf("datapipe_produce_seconds count = %d, want %d", got, batches)
 	}
-	if reg.Counter("datapipe_batches_consumed_total").Value() < totalSteps*int64(cfg.Shards) {
-		t.Errorf("batches consumed = %d, want ≥ %d",
-			reg.Counter("datapipe_batches_consumed_total").Value(), totalSteps*int64(cfg.Shards))
+	if got := reg.Counter("datapipe_batches_consumed_total").Value(); got != batches {
+		t.Errorf("batches consumed = %d, want %d", got, batches)
+	}
+	if got := reg.Histogram("datapipe_next_wait_seconds").Count(); got != totalSteps {
+		t.Errorf("datapipe_next_wait_seconds count = %d, want %d", got, totalSteps)
 	}
 
 	// The end-of-run summary covers the per-phase timing and quality
@@ -97,7 +102,7 @@ func TestSearchRecordsMetrics(t *testing.T) {
 		"search_mean_reward",
 		"search_entropy",
 		"controller_update_kl_nats",
-		"datapipe_buffer_occupancy",
+		"datapipe_next_wait_seconds",
 	} {
 		if !strings.Contains(summary, want) {
 			t.Errorf("summary missing %q", want)

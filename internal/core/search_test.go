@@ -60,8 +60,10 @@ func TestSearchRunsAndProducesResult(t *testing.T) {
 	if len(res.BestPerf) != 2 {
 		t.Fatalf("BestPerf = %v", res.BestPerf)
 	}
-	if res.ExamplesSeen <= 0 {
-		t.Fatal("no examples consumed")
+	// (10 warmup + 60 steps) × 4 shards × 32, plus 16 final-quality
+	// batches of 32: every example the search used, and nothing more.
+	if want := int64((10+60)*4*32 + 16*32); res.ExamplesSeen != want {
+		t.Fatalf("ExamplesSeen = %d, want %d consumed", res.ExamplesSeen, want)
 	}
 }
 

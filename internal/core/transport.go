@@ -24,28 +24,28 @@ type ShardOutcome struct {
 	Quality float64
 }
 
-// ShardBinding hands a transport the run state it executes steps against.
-// Search builds it once, after constructing the master super-network and
-// its per-shard replicas and before restoring any checkpoint.
-type ShardBinding struct {
+// Binding hands a transport the run state it executes steps against.
+// The engine builds it once, after constructing the master super-network
+// and its per-shard replicas and before restoring any checkpoint.
+type Binding[M any] struct {
 	// Master is the coordinator's super-network: the source of truth for
 	// shared weights. Remote transports read it to synchronize workers;
 	// the in-process transport shares its storage through the replicas.
-	Master *supernet.Supernet
+	Master M
 	// Replicas are the per-shard gradient sinks, one per shard, in shard
 	// order. The in-process transport runs Forward/Backward on them
 	// directly; a remote transport copies collected gradients into them
 	// so the spine reduce consumes identical state either way.
-	Replicas []*supernet.Supernet
+	Replicas []M
 	// Metrics is the run's registry (nil-safe); transports resolve their
 	// own instruments from it.
 	Metrics *metrics.Registry
 }
 
-// ShardTransport is the seam between the coordinator's step loop and
-// wherever the per-shard forward/backward work executes: the in-process
-// worker pool (the default) or a fleet of remote workers over TCP
-// (internal/shardrpc).
+// Transport is the seam between the engine's step loop and wherever the
+// per-shard forward/backward work executes: the in-process worker pool
+// (the default, for any super-network) or a fleet of remote workers over
+// TCP (internal/shardrpc, DLRM only).
 //
 // The determinism contract makes multi-node runs bit-identical to
 // single-node: candidate sampling and batch draws happen on the
@@ -59,18 +59,18 @@ type ShardBinding struct {
 // A transport degrades rather than fails: a straggling or dead shard is
 // reported !Alive for the step and the coordinator reduces over the
 // survivors, consistent with Config.ShardFault semantics.
-type ShardTransport interface {
-	// Bind attaches the transport to a run. It is called once per Search,
+type Transport[M, B any] interface {
+	// Bind attaches the transport to a run. It is called once per search,
 	// before the first RunStep; remote transports perform their worker
 	// handshakes here and must reject a shard count that does not match
 	// their fleet.
-	Bind(b ShardBinding) error
+	Bind(b Binding[M]) error
 	// RunStep executes step on every shard — stage 1 (forward, quality)
 	// and stage 3's per-shard half (backward, gradient accumulation) —
 	// and fills outcomes[i] for shard i. It blocks until every shard
 	// completed or was dropped. assignments[i] and batches[i] are valid
 	// for the duration of the call only.
-	RunStep(step int, assignments []space.Assignment, batches []*datapipe.Batch, outcomes []ShardOutcome)
+	RunStep(step int, assignments []space.Assignment, batches []B, outcomes []ShardOutcome)
 	// WantsWeightSync reports whether the transport needs PushWeights
 	// after each weight update. The in-process transport shares weight
 	// storage and returns false, which also keeps the spine from
@@ -86,11 +86,18 @@ type ShardTransport interface {
 	// resuming a run under a different transport or a silently changed
 	// worker set is refused. Valid after Bind.
 	Membership() string
-	// Close releases the transport's resources. Search closes only the
-	// transports it creates itself (Config.Transport == nil); a provided
-	// transport is closed by its owner.
+	// Close releases the transport's resources. The engine closes only
+	// the in-process transport it creates itself; a provided transport
+	// is closed by its owner.
 	Close() error
 }
+
+// ShardTransport is the DLRM transport Config.Transport carries; shardrpc
+// implements it.
+type ShardTransport = Transport[*supernet.Supernet, *datapipe.Batch]
+
+// ShardBinding is the binding a ShardTransport receives.
+type ShardBinding = Binding[*supernet.Supernet]
 
 // inprocOptions carries the Config knobs the in-process transport honors.
 type inprocOptions struct {
@@ -100,7 +107,7 @@ type inprocOptions struct {
 	clock   checkpoint.Clock
 }
 
-// inprocTransport is the historical execution mode behind the seam: one
+// inprocTransport is the default execution mode behind the seam: one
 // long-lived worker goroutine per shard, fed step numbers over single-slot
 // channels. Replicas share weight storage with the master, so there is no
 // weight synchronization at all. Spawning cfg.Shards goroutines per step
@@ -110,11 +117,11 @@ type inprocOptions struct {
 // assignment/batch, and the worker's send on stepDone happens-before the
 // coordinator's read of outcomes — the same memory-ordering guarantees a
 // per-step WaitGroup would provide.
-type inprocTransport struct {
+type inprocTransport[M Model[B], B Batch] struct {
 	opts inprocOptions
 	sm   SearchMetrics
 
-	replicas []*supernet.Supernet
+	replicas []M
 	work     []chan int
 	stepDone chan struct{}
 	closed   bool
@@ -122,12 +129,12 @@ type inprocTransport struct {
 	// Per-step dispatch state: published before the work sends, read by
 	// the workers, settled before RunStep returns.
 	assignments []space.Assignment
-	batches     []*datapipe.Batch
+	batches     []B
 	outcomes    []ShardOutcome
 }
 
 // newInprocTransport builds the default transport from the search config.
-func newInprocTransport(cfg *Config, sm SearchMetrics) *inprocTransport {
+func newInprocTransport[M Model[B], B Batch](cfg *Config, sm SearchMetrics) *inprocTransport[M, B] {
 	o := inprocOptions{
 		fault:   cfg.ShardFault,
 		retries: cfg.ShardRetries,
@@ -143,10 +150,10 @@ func newInprocTransport(cfg *Config, sm SearchMetrics) *inprocTransport {
 	if o.clock == nil {
 		o.clock = checkpoint.RealClock()
 	}
-	return &inprocTransport{opts: o, sm: sm}
+	return &inprocTransport[M, B]{opts: o, sm: sm}
 }
 
-func (t *inprocTransport) Bind(b ShardBinding) error {
+func (t *inprocTransport[M, B]) Bind(b Binding[M]) error {
 	t.replicas = b.Replicas
 	t.work = make([]chan int, len(b.Replicas))
 	t.stepDone = make(chan struct{}, len(b.Replicas))
@@ -160,7 +167,7 @@ func (t *inprocTransport) Bind(b ShardBinding) error {
 // worker is shard i's long-lived execution loop: retry the shard-fault
 // seam with bounded exponential backoff, then run stage 1 (forward,
 // quality) and stage 3's per-shard half (backward) on the shard's replica.
-func (t *inprocTransport) worker(i int) {
+func (t *inprocTransport[M, B]) worker(i int) {
 	for step := range t.work[i] {
 		shardSpan := t.sm.ShardTime.Start()
 		var out ShardOutcome
@@ -198,7 +205,7 @@ func (t *inprocTransport) worker(i int) {
 	}
 }
 
-func (t *inprocTransport) RunStep(step int, assignments []space.Assignment, batches []*datapipe.Batch, outcomes []ShardOutcome) {
+func (t *inprocTransport[M, B]) RunStep(step int, assignments []space.Assignment, batches []B, outcomes []ShardOutcome) {
 	t.assignments, t.batches, t.outcomes = assignments, batches, outcomes
 	for i := range t.work {
 		t.work[i] <- step
@@ -209,14 +216,14 @@ func (t *inprocTransport) RunStep(step int, assignments []space.Assignment, batc
 	t.assignments, t.batches, t.outcomes = nil, nil, nil
 }
 
-func (t *inprocTransport) WantsWeightSync() bool { return false }
+func (t *inprocTransport[M, B]) WantsWeightSync() bool { return false }
 
 // PushWeights is a no-op: replicas share the master's weight storage.
-func (t *inprocTransport) PushWeights([]nn.ParamTouch) error { return nil }
+func (t *inprocTransport[M, B]) PushWeights([]nn.ParamTouch) error { return nil }
 
-func (t *inprocTransport) Membership() string { return "inproc" }
+func (t *inprocTransport[M, B]) Membership() string { return "inproc" }
 
-func (t *inprocTransport) Close() error {
+func (t *inprocTransport[M, B]) Close() error {
 	if !t.closed {
 		t.closed = true
 		for _, w := range t.work {

@@ -1,11 +1,11 @@
 // Package datapipe implements H₂O-NAS's pure in-memory data pipeline
 // (Section 3 ①, Section 4.1). Production traffic cannot be persisted to
 // non-volatile media or examined by humans, so the pipeline streams
-// synthetic click-through examples straight from a generator into bounded
-// in-memory buffers, hands every example out exactly once, and enforces
-// the ordering invariant that makes the unified single-step search sound:
-// each batch must be used for learning architecture choices α *before* it
-// is used for training shared weights W.
+// synthetic click-through examples straight from a generator into the
+// search's in-memory prefetch buffer, hands every example out exactly
+// once, and enforces the ordering invariant that makes the unified
+// single-step search sound: each batch must be used for learning
+// architecture choices α *before* it is used for training shared weights W.
 //
 // The synthetic CTR task substitutes for live production traffic (see
 // DESIGN.md): sparse categorical features carry memorization signal whose

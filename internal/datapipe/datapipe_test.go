@@ -2,7 +2,6 @@ package datapipe
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"h2onas/internal/tensor"
@@ -160,72 +159,6 @@ func TestArchAfterWeightsPanics(t *testing.T) {
 		}
 	}()
 	b.UseForArch()
-}
-
-func TestPipelineDeliversFreshBatches(t *testing.T) {
-	s := NewStream(DefaultCTRConfig(), 11)
-	p := NewPipeline(s, 16, 4)
-	defer p.Close()
-	seen := map[*Batch]bool{}
-	for i := 0; i < 10; i++ {
-		b := p.Next()
-		if b == nil {
-			t.Fatal("Next returned nil while open")
-		}
-		if seen[b] {
-			t.Fatal("pipeline handed out the same batch twice")
-		}
-		seen[b] = true
-		if b.Size() != 16 {
-			t.Fatalf("batch size %d", b.Size())
-		}
-	}
-	if p.BatchesConsumed() != 10 {
-		t.Fatalf("BatchesConsumed = %d", p.BatchesConsumed())
-	}
-}
-
-func TestPipelineConcurrentConsumers(t *testing.T) {
-	s := NewStream(DefaultCTRConfig(), 12)
-	p := NewPipeline(s, 8, 8)
-	defer p.Close()
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	seen := map[*Batch]bool{}
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				b := p.Next()
-				mu.Lock()
-				if seen[b] {
-					t.Error("duplicate batch across consumers")
-				}
-				seen[b] = true
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if len(seen) != 160 {
-		t.Fatalf("saw %d distinct batches, want 160", len(seen))
-	}
-}
-
-func TestPipelineCloseStopsProducer(t *testing.T) {
-	s := NewStream(DefaultCTRConfig(), 13)
-	p := NewPipeline(s, 8, 2)
-	_ = p.Next()
-	p.Close()
-	p.Close() // idempotent
-	// After close + drain, Next must eventually return nil.
-	for i := 0; i < 10; i++ {
-		if p.Next() == nil {
-			return
-		}
-	}
-	t.Fatal("Next never returned nil after Close")
 }
 
 func TestDriftRotatesLatentEffects(t *testing.T) {

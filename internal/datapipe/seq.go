@@ -140,6 +140,22 @@ func (s *SeqStream) NextBatch(n int) *SeqBatch {
 	return b
 }
 
+// Skip advances the stream past nBatches batches of batchSize sequences
+// each without generating them: NextBatch consumes exactly one value from
+// the parent generator (the Split seeding the batch), so this has the
+// effect of nBatches NextBatch(batchSize) calls at O(1) cost per batch.
+func (s *SeqStream) Skip(nBatches int64, batchSize int) {
+	if nBatches < 0 || batchSize <= 0 {
+		panic(fmt.Sprintf("datapipe: Skip(%d, %d) with negative batches or non-positive size", nBatches, batchSize))
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := int64(0); i < nBatches; i++ {
+		s.rng.Uint64()
+	}
+	atomic.AddInt64(&s.served, nBatches*int64(batchSize))
+}
+
 // unaryEffect is the ground-truth per-token effect: a dominant
 // position-independent part (learnable by token embeddings alone) plus a
 // small position modulation (needs token/position mixing).

@@ -69,3 +69,44 @@ func TestStreamSkipValidatesArguments(t *testing.T) {
 		}()
 	}
 }
+
+func seqBatchesEqual(a, b *SeqBatch) bool {
+	return reflect.DeepEqual(a.Tokens, b.Tokens) && reflect.DeepEqual(a.Labels.Data, b.Labels.Data)
+}
+
+// TestSeqStreamSkipMatchesNextBatch is the sequence-stream half of the
+// resume contract: Skip lands a fresh stream exactly where generating the
+// batches would have.
+func TestSeqStreamSkipMatchesNextBatch(t *testing.T) {
+	for _, k := range []int64{0, 1, 7, 23} {
+		walked := NewSeqStream(DefaultSeqConfig(), 11)
+		for i := int64(0); i < k; i++ {
+			walked.NextBatch(16)
+		}
+		skipped := NewSeqStream(DefaultSeqConfig(), 11)
+		skipped.Skip(k, 16)
+		if walked.ExamplesServed() != skipped.ExamplesServed() {
+			t.Fatalf("after %d batches: walked served %d, skipped served %d", k, walked.ExamplesServed(), skipped.ExamplesServed())
+		}
+		if !seqBatchesEqual(walked.NextBatch(16), skipped.NextBatch(16)) {
+			t.Fatalf("batch %d differs between walked and skipped streams", k)
+		}
+	}
+}
+
+func TestSeqStreamSkipValidatesArguments(t *testing.T) {
+	for _, call := range []func(*SeqStream){
+		func(s *SeqStream) { s.Skip(-1, 8) },
+		func(s *SeqStream) { s.Skip(1, 0) },
+		func(s *SeqStream) { s.Skip(1, -8) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("invalid Skip arguments did not panic")
+				}
+			}()
+			call(NewSeqStream(DefaultSeqConfig(), 1))
+		}()
+	}
+}

@@ -129,12 +129,12 @@ func (s *Service) finish(rec Record, state State, errMsg string) {
 }
 
 // resultJSON serializes the deterministic slice of the search result: the
-// trajectory and outcome, excluding everything interruption-dependent —
-// ResumedFrom (names the resume point), ExamplesSeen (varies with
-// prefetch timing) and the candidate pool (not part of snapshots, so a
-// resumed run's pool starts at the snapshot). Two runs that followed the
-// same trajectory — including one interrupted and resumed any number of
-// times — serialize byte-identically.
+// trajectory and outcome, excluding ResumedFrom (names the resume point)
+// and the candidate pool (not part of snapshots, so a resumed run's pool
+// starts at the snapshot). ExamplesSeen is the exact consumed count, the
+// same for an interrupted run, but stays out so the format is unchanged.
+// Two runs that followed the same trajectory — including one interrupted
+// and resumed any number of times — serialize byte-identically.
 func resultJSON(ds *space.DLRMSpace, res *core.Result) ([]byte, error) {
 	out := struct {
 		Best           space.Assignment `json:"best"`

@@ -2,7 +2,7 @@
 // counters, gauges, log-bucketed histograms with quantile summaries, and
 // lightweight span timers, designed for the hot paths of the massively
 // parallel unified single-step search (Section 4) — per-shard step timing,
-// reward/entropy/KL trends, data-pipeline latency and buffer occupancy,
+// reward/entropy/KL trends, batch synthesis and prefetch-wait latency,
 // simulator-call and performance-model-inference latency.
 //
 // Two properties shape the API:

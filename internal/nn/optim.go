@@ -108,6 +108,36 @@ func (o *Adam) alloc(p *Param) *tensor.Matrix {
 	return m
 }
 
+// WeightsState returns a copy of every parameter's values, in order — the
+// weight payload of a search checkpoint.
+func WeightsState(params []*Param) [][]float64 {
+	out := make([][]float64, len(params))
+	for i, p := range params {
+		out[i] = append([]float64(nil), p.Value.Data...)
+	}
+	return out
+}
+
+// LoadWeights copies values exported by WeightsState back into params.
+// The copy is in place, so replicas sharing value storage with params see
+// the restored values too. Mismatched shapes are rejected before anything
+// is applied.
+func LoadWeights(params []*Param, w [][]float64) error {
+	if len(w) != len(params) {
+		return fmt.Errorf("nn: checkpoint has %d parameter tensors, model has %d", len(w), len(params))
+	}
+	for i, p := range params {
+		if len(w[i]) != len(p.Value.Data) {
+			return fmt.Errorf("nn: parameter %d (%s) has %d values in the checkpoint, model has %d",
+				i, p.Name, len(w[i]), len(p.Value.Data))
+		}
+	}
+	for i, p := range params {
+		copy(p.Value.Data, w[i])
+	}
+	return nil
+}
+
 // AdamState is the optimizer's portable state: the bias-correction step
 // count and the first/second moment vectors, in the caller's parameter
 // order. It exists so checkpoint/restore can resume training

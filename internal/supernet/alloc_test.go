@@ -12,7 +12,7 @@ import (
 // full search step — replica forward/backward, gradient reduction, clip,
 // Adam, gradient clear — must perform zero heap allocations. The data
 // plane (batch synthesis) is excluded by pre-drawing the batch; real
-// steps draw fresh batches, which is the pipeline's (prefetched,
+// steps draw fresh batches, which is the search engine's (prefetched,
 // off-hot-path) job.
 func TestSteadyStateStepZeroMatrixAllocs(t *testing.T) {
 	ds, master, stream := newSmall(t, 7)

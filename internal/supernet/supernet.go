@@ -261,36 +261,6 @@ func (s *Supernet) Options() Options { return s.opts }
 // ConcatWidth returns the fixed concatenated-feature width.
 func (s *Supernet) ConcatWidth() int { return s.concatWidth }
 
-// WeightsState returns a copy of every shared parameter's values in
-// Params() order — the super-network payload of a search checkpoint.
-func (s *Supernet) WeightsState() [][]float64 {
-	out := make([][]float64, len(s.params))
-	for i, p := range s.params {
-		out[i] = append([]float64(nil), p.Value.Data...)
-	}
-	return out
-}
-
-// LoadWeights copies values exported by WeightsState into the shared
-// parameters. The copy is in place, so replicas sharing storage with this
-// super-network see the restored values too. Mismatched shapes are
-// rejected before anything is applied.
-func (s *Supernet) LoadWeights(w [][]float64) error {
-	if len(w) != len(s.params) {
-		return fmt.Errorf("supernet: checkpoint has %d parameter tensors, super-network has %d", len(w), len(s.params))
-	}
-	for i, p := range s.params {
-		if len(w[i]) != len(p.Value.Data) {
-			return fmt.Errorf("supernet: parameter %d (%s) has %d values in the checkpoint, super-network has %d",
-				i, p.Name, len(w[i]), len(p.Value.Data))
-		}
-	}
-	for i, p := range s.params {
-		copy(p.Value.Data, w[i])
-	}
-	return nil
-}
-
 // Replicate returns a view of the super-network that shares every
 // parameter *value* with s but accumulates gradients separately — one
 // replica per accelerator shard, with a cross-shard gradient reduction

@@ -54,13 +54,9 @@ type goldenTrace struct {
 
 func bits(v float64) string { return fmt.Sprintf("%016x", math.Float64bits(v)) }
 
-// TestGoldenTrajectory replays the transformer search (REINFORCE, the
-// default strategy) on a pinned seed and asserts its full
-// reward/quality/entropy/confidence trajectory, selected architecture and
-// final quality are byte-identical to the committed trace. Every step
-// runs MaskedDense, attention and the dense spine update, so a moved
-// rounding anywhere in them fails here on the first divergent bit.
-func TestGoldenTrajectory(t *testing.T) {
+// goldenSearcher and goldenConfig build the pinned run described by
+// goldenConfigNote, on a fresh stream.
+func goldenSearcher() *Searcher {
 	vs := space.NewTransformerSpace(space.SmallViTConfig())
 	chip := hwsim.TPUv4()
 	perf := func(a space.Assignment) []float64 {
@@ -68,18 +64,21 @@ func TestGoldenTrajectory(t *testing.T) {
 		return []float64{r.StepTime}
 	}
 	base := perf(vs.BaselineAssignment())
-	s := &Searcher{
+	return &Searcher{
 		VS:     vs,
 		Reward: reward.MustNew(reward.ReLU, reward.Objective{Name: "train_step_time", Target: base[0], Beta: -2}),
 		Perf:   perf,
 		Stream: datapipe.NewSeqStream(datapipe.DefaultSeqConfig(), 31),
 	}
-	res, err := s.Search(core.Config{
-		Shards: 3, Steps: 10, BatchSize: 6, WarmupSteps: 3, Seed: 31,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+}
+
+func goldenConfig() core.Config {
+	return core.Config{Shards: 3, Steps: 10, BatchSize: 6, WarmupSteps: 3, Seed: 31}
+}
+
+// goldenJSON serializes a result in the committed golden format.
+func goldenJSON(t *testing.T, res *Result) []byte {
+	t.Helper()
 	tr := goldenTrace{
 		Strategy:         "reinforce",
 		Config:           goldenConfigNote,
@@ -101,24 +100,44 @@ func TestGoldenTrajectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = append(got, '\n')
+	return append(got, '\n')
+}
 
-	path := filepath.Join("testdata", "golden", "reinforce.json")
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
+var goldenPath = filepath.Join("testdata", "golden", "reinforce.json")
+
+// requireGolden fails unless res serializes byte-identically to the
+// committed golden trace.
+func requireGolden(t *testing.T, what string, res *Result) {
+	t.Helper()
+	want, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatalf("missing golden trace (run with -update-golden to create): %v", err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("trajectory diverged from %s\n got: %s\nwant: %s\nThe search walked a different path on the pinned seed. If the change is intentional, regenerate with -update-golden and justify the new trajectory in review.", path, got, want)
+	if got := goldenJSON(t, res); !bytes.Equal(got, want) {
+		t.Fatalf("%s diverged from %s\n got: %s\nwant: %s\nThe search walked a different path on the pinned seed. If the change is intentional, regenerate with -update-golden and justify the new trajectory in review.", what, goldenPath, got, want)
 	}
+}
+
+// TestGoldenTrajectory replays the transformer search (REINFORCE, the
+// default strategy) on a pinned seed and asserts its full
+// reward/quality/entropy/confidence trajectory, selected architecture and
+// final quality are byte-identical to the committed trace. Every step
+// runs MaskedDense, attention and the dense spine update, so a moved
+// rounding anywhere in them fails here on the first divergent bit.
+func TestGoldenTrajectory(t *testing.T) {
+	res, err := goldenSearcher().Search(goldenConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, goldenJSON(t, res), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", goldenPath)
+		return
+	}
+	requireGolden(t, "trajectory", res)
 }
